@@ -38,7 +38,10 @@ class JsonEmitter {
   }
 
   void note(const std::string& group, const std::string& key, const std::string& text) {
-    group_of(group).emplace_back(key, "\"" + escaped(text) + "\"");
+    std::string quoted(1, '"');
+    quoted += escaped(text);
+    quoted += '"';
+    group_of(group).emplace_back(key, std::move(quoted));
   }
 
   // Writes BENCH_<name>.json; returns the path written.

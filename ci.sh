@@ -253,6 +253,35 @@ print("BENCH_scaling.json OK:", len(verify), "determinism flags all 1")
 EOF
 rm -rf "${scale_dir}"
 
+echo "== perfbench smoke: droplet_100k checks pass, and all fail on corrupted references =="
+# The repo benchmark (BENCHMARK.json) on its 100k-atom droplet for 2 s: every
+# op's energies are checked against run_inline and its pooled 27 MB restart
+# text is hashed against the serial writer's and round-tripped.  The honest
+# run must report "correct":true; with --corrupt-ref every reference value is
+# perturbed, so every check must fail (failed == attempted > 0) — a check
+# that cannot fail verifies nothing.
+perfbench_dir=$(mktemp -d)
+python3 perfbench/run.py --workload droplet_100k --seed 1 --seconds 2 --trace 0 \
+  > "${perfbench_dir}/honest.txt"
+python3 perfbench/run.py --workload droplet_100k --seed 1 --seconds 2 --trace 0 --corrupt-ref \
+  > "${perfbench_dir}/corrupt.txt"
+python3 - "${perfbench_dir}" <<'EOF'
+import json, os, sys
+d = sys.argv[1]
+def result(name):
+    with open(os.path.join(d, name)) as f:
+        return json.loads(f.read().strip().splitlines()[-1])
+honest = result("honest.txt")
+assert honest["correct"] is True, f"honest run not correct: {honest}"
+assert honest["failed"] == 0 and honest["attempted"] > 0, honest
+corrupt = result("corrupt.txt")
+assert corrupt["attempted"] > 0 and corrupt["failed"] == corrupt["attempted"], \
+    f"corrupted references: {corrupt['failed']} of {corrupt['attempted']} checks failed"
+print(f"perfbench OK: {honest['attempted']} checks pass; "
+      f"{corrupt['failed']}/{corrupt['attempted']} fail on corrupted references")
+EOF
+rm -rf "${perfbench_dir}"
+
 echo "== forced-scalar: build + ctest with MWX_AVX2=OFF (scalar preset) =="
 # The bit-identity suites must hold in both ISAs: the vectorized lane loops
 # are value-preserving claims about *expressions*, not about AVX2.

@@ -1,6 +1,7 @@
 #include "serve/scene_cache.hpp"
 
-#include <sstream>
+#include <bit>
+#include <cstring>
 #include <utility>
 
 #include "md/engine.hpp"
@@ -24,9 +25,7 @@ std::string scene_text(const md::MolecularSystem& sys) {
 
 std::string scene_text(const md::MolecularSystem& sys, parallel::FixedThreadPool* pool,
                        int n_chunks) {
-  std::ostringstream os;
-  md::save_scene(os, sys, pool, resolve_chunks(pool, n_chunks));
-  return os.str();
+  return md::format_scene(sys, pool, resolve_chunks(pool, n_chunks));
 }
 
 std::string checkpoint_text(const md::Engine& engine) {
@@ -35,19 +34,52 @@ std::string checkpoint_text(const md::Engine& engine) {
 
 std::string checkpoint_text(const md::Engine& engine, parallel::FixedThreadPool* pool,
                             int n_chunks) {
-  std::ostringstream os;
-  md::save_checkpoint_scene(os, engine.system(),
-                            engine.neighbor_list().reference_positions(), pool,
-                            resolve_chunks(pool, n_chunks));
-  return os.str();
+  return md::format_checkpoint(engine.system(), engine.neighbor_list().reference_positions(),
+                               pool, resolve_chunks(pool, n_chunks));
 }
 
-std::uint64_t SceneCache::content_hash(const std::string& text) {
-  std::uint64_t h = 14695981039346656037ull;  // FNV offset basis
-  for (unsigned char c : text) {
-    h ^= static_cast<std::uint64_t>(c);
-    h *= 1099511628211ull;  // FNV prime
+// XXH64 (seed 0): four independent lanes each take every fourth 8-byte word,
+// so the multiply chains overlap instead of serializing one per byte.  Words
+// are read in host byte order — the key never leaves the process.
+std::uint64_t SceneCache::content_hash(std::string_view text) {
+  constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+  constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+  constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
+  constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+  constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ull;
+  auto word = [](const char* p) {
+    std::uint64_t w;
+    std::memcpy(&w, p, sizeof w);
+    return w;
+  };
+  auto lane_round = [](std::uint64_t acc, std::uint64_t w) {
+    return std::rotl(acc + w * kP2, 31) * kP1;
+  };
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  std::uint64_t h = kP5;
+  if (text.size() >= 32) {
+    std::uint64_t v[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+    for (; end - p >= 32; p += 32) {
+      for (int l = 0; l < 4; ++l) v[l] = lane_round(v[l], word(p + 8 * l));
+    }
+    h = std::rotl(v[0], 1) + std::rotl(v[1], 7) + std::rotl(v[2], 12) + std::rotl(v[3], 18);
+    for (const std::uint64_t lane : v) h = (h ^ lane_round(0, lane)) * kP1 + kP4;
   }
+  h += text.size();
+  for (; end - p >= 8; p += 8) h = std::rotl(h ^ lane_round(0, word(p)), 27) * kP1 + kP4;
+  if (end - p >= 4) {
+    std::uint32_t w;
+    std::memcpy(&w, p, sizeof w);
+    h = std::rotl(h ^ (w * kP1), 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = std::rotl(h ^ (static_cast<unsigned char>(*p) * kP5), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
   return h;
 }
 
@@ -81,8 +113,7 @@ std::shared_ptr<const md::MolecularSystem> SceneCache::load(const std::string& t
   // while we parse, and that outcome is a hit (the cache served the request;
   // this thread's parse was wasted work, not a cache miss).
   if (hook) hook();
-  std::istringstream is(text);
-  auto system = std::make_shared<const md::MolecularSystem>(md::load_scene(is));
+  auto system = std::make_shared<const md::MolecularSystem>(md::load_scene(text));
 
   std::lock_guard lock(mutex_);
   if (max_entries_ == 0) {

@@ -4,7 +4,7 @@
 // resubmit the same scene (parameter sweeps, retries, shared templates).
 // scene_io's .mws output is byte-stable — the same MolecularSystem always
 // serializes to the same bytes — so the scene *text* is a sound dedup key:
-// hash the bytes (FNV-1a 64), parse once per distinct content, and hand
+// hash the bytes (XXH64), parse once per distinct content, and hand
 // every subsequent submission a shared pointer to the same immutable parsed
 // system.  Jobs copy the system into their Engine (the engine integrates in
 // place), so cached entries are never mutated.
@@ -27,6 +27,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "md/system.hpp"
@@ -45,10 +46,10 @@ namespace mwx::serve {
 [[nodiscard]] std::string scene_text(const md::MolecularSystem& sys);
 
 // Pool-backed variant: formats the per-atom records through scene_io's
-// chunked parallel serializer.  Byte-identical to the serial overload — the
-// text (and hence content_hash) is the same dedup key either way; at 100k+
-// atoms the serialization stops being a serve-dispatch stall.  n_chunks <= 0
-// uses the pool's worker count.
+// chunked parallel writer (md::format_scene).  Byte-identical to the serial
+// overload — the text (and hence content_hash) is the same dedup key either
+// way; at 100k+ atoms the serialization stops being a serve-dispatch stall.
+// n_chunks <= 0 uses the pool's worker count.
 [[nodiscard]] std::string scene_text(const md::MolecularSystem& sys,
                                      parallel::FixedThreadPool* pool, int n_chunks = 0);
 
@@ -78,8 +79,10 @@ class SceneCache {
   // Throws ContractError on malformed scene text.
   std::shared_ptr<const md::MolecularSystem> load(const std::string& text);
 
-  // FNV-1a 64-bit over the scene bytes.
-  [[nodiscard]] static std::uint64_t content_hash(const std::string& text);
+  // XXH64 of the scene bytes: four independent 64-bit lanes over 8-byte
+  // words, then the tail bytes, then a final avalanche (multi-GB/s, so a
+  // 27 MB checkpoint hashes in a few ms).
+  [[nodiscard]] static std::uint64_t content_hash(std::string_view text);
 
   [[nodiscard]] long long hits() const { return hits_.load(std::memory_order_relaxed); }
   [[nodiscard]] long long misses() const { return misses_.load(std::memory_order_relaxed); }
